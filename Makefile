@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench peerbench bench-smoke figures verify fmt vet lint lint-fix audit fuzz-smoke cover sim-smoke recovery-smoke peerload load-smoke clean
+.PHONY: all build test test-short race bench peerbench bench-smoke bench-check figures verify fmt vet lint lint-fix audit fuzz-smoke cover sim-smoke recovery-smoke peerload load-smoke clean
 
 all: build test
 
@@ -31,6 +31,14 @@ peerbench:
 # on a >25% ns/op regression or a serial-vs-parallel bit mismatch.
 bench-smoke:
 	$(GO) run ./cmd/peerbench -quick -out bench-quick.json -compare BENCH_9.json
+
+# Vet and test the benchmark module (bench/, a module of its own that
+# compiles against internal packages): an API change that breaks the
+# benchmark's build fails here (the bench-module CI job) rather than in
+# a benchmark run.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Refresh the committed serving-path latency baseline: the canonical
 # deterministic smoke configuration (virtual clock, so every latency is

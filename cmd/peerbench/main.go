@@ -43,6 +43,7 @@ import (
 	"peerlearn/internal/baselines"
 	"peerlearn/internal/core"
 	"peerlearn/internal/dist"
+	"peerlearn/internal/matchmaker"
 	"peerlearn/internal/server"
 )
 
@@ -100,6 +101,11 @@ var seedNsPerOp = map[string]float64{
 	"anneal-par-clique-1m":  1548835319,
 	"anneal-par-star-10k":   46445201,
 	"anneal-par-clique-10k": 54182757,
+	// The round path before the session kept its roster in seat order:
+	// a map walk and a three-key pointer sort under the session lock on
+	// every round, and a member-by-member staleness scan (the same
+	// entry code, median of three runs, GOMAXPROCS=1).
+	"matchmaker-round-10k": 2289454,
 }
 
 // measurement is the output of one timing loop.
@@ -361,6 +367,40 @@ func sessionTrafficCase(shards, sessions, ops, workers int, target time.Duration
 	return m, nil
 }
 
+// matchmakerRoundCase times one live-cohort round on an n-member
+// DyGroups-Star session of group size 4. Each op is a join, a leave of
+// the longest-present member, and a RunRound, so the roster churns
+// between rounds the way a served session's does.
+func matchmakerRoundCase(n int, target time.Duration) (measurement, error) {
+	s, err := matchmaker.NewSession(4, core.Star, core.MustLinear(0.5), peerlearn.NewDyGroupsStar())
+	if err != nil {
+		return measurement{}, err
+	}
+	ids := make([]matchmaker.ParticipantID, n)
+	for i := range ids {
+		if ids[i], err = s.Join(0.01 + float64(i%997)/997); err != nil {
+			return measurement{}, err
+		}
+	}
+	oldest := 0 // ids is a ring of live members in join order
+	var opErr error
+	m := measure(target, func() {
+		id, err := s.Join(0.01 + float64(oldest%991)/991)
+		if err == nil {
+			err = s.Leave(ids[oldest])
+		}
+		if err == nil {
+			_, err = s.RunRound()
+		}
+		if err != nil && opErr == nil {
+			opErr = err
+		}
+		ids[oldest] = id
+		oldest = (oldest + 1) % n
+	})
+	return m, opErr
+}
+
 // sessionRecoveryCase journals sessions (create, joins, one round
 // each) into a throwaway directory, drops the store kill -9 style, and
 // measures replay-on-boot over the whole journal.
@@ -593,6 +633,14 @@ func buildReport(quick bool, target, cooldown time.Duration, only *regexp.Regexp
 				return nil, fmt.Errorf("session-traffic-10k: %w", err)
 			}
 			add("session-traffic-10k", 10000, traffic)
+		}
+
+		if should("matchmaker-round-10k") {
+			m, err := matchmakerRoundCase(10000, target)
+			if err != nil {
+				return nil, fmt.Errorf("matchmaker-round-10k: %w", err)
+			}
+			add("matchmaker-round-10k", 10000, m)
 		}
 
 		if should("session-recovery-1k") {

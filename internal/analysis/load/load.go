@@ -146,6 +146,13 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			if path != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
+			// A directory with its own go.mod is a nested module, which
+			// "./..." excludes, as it does for the go command.
+			if path != l.moduleRoot {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			if hasGoFiles(path) {
 				dirs[path] = true
 			}

@@ -3,6 +3,8 @@ package load
 import (
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -36,5 +38,43 @@ func TestIncludeInBuild(t *testing.T) {
 				t.Errorf("includeInBuild(%q) = %v, want %v", tc.src, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestLoadSkipsNestedModules checks "./..." stops at a directory with
+// its own go.mod, as the go command does: a nested module is a
+// different build, with its own dependencies and replace directives.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module example.com/m\n\ngo 1.22\n")
+	write("a/a.go", "package a\n")
+	write("nested/go.mod", "module example.com/nested\n\ngo 1.22\n")
+	write("nested/n.go", "package nested\n")
+	write("nested/sub/s.go", "package sub\n")
+
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if len(paths) != 1 || paths[0] != "example.com/m/a" {
+		t.Fatalf("loaded %v, want only example.com/m/a", paths)
 	}
 }

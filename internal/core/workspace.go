@@ -201,6 +201,12 @@ func (w *Workspace) AggregateGain(s Skills, g Grouping, mode Mode, gain Gain) fl
 	return total
 }
 
+// ValidateEqui is Grouping.ValidateEqui on the workspace's membership
+// scratch; it allocates nothing at steady state.
+func (w *Workspace) ValidateEqui(g Grouping, n, k int) error {
+	return g.validateEqui(n, k, w.seenScratch(n))
+}
+
 // seenScratch returns the validation scratch sized for n participants.
 func (w *Workspace) seenScratch(n int) []bool {
 	if cap(w.seen) < n {

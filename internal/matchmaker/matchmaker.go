@@ -13,6 +13,7 @@
 package matchmaker
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -111,7 +112,29 @@ type Session struct {
 	//peerlint:guardedby mu
 	nextID ParticipantID
 	//peerlint:guardedby mu
-	members map[ParticipantID]*Participant
+	members map[ParticipantID]*member
+	// order is the live roster in seat order, (RoundsPlayed, ID)
+	// ascending. Ids are allocated in join order and JoinedRound is the
+	// round count at join, so JoinedRound never decreases as the id
+	// grows and this is exactly the documented (RoundsPlayed,
+	// JoinedRound, ID) priority. Seating copies a prefix; no round
+	// sorts.
+	//peerlint:guardedby mu
+	order []*member
+	// spare is the merge target of the next apply; its contents are
+	// dead.
+	//peerlint:guardedby mu
+	spare []*member
+	// epoch counts the mutations that invalidate a seated snapshot:
+	// leaves and applied rounds. A join does not — the joiner is simply
+	// unseated this round — so it leaves the epoch alone.
+	//peerlint:guardedby mu
+	epoch uint64
+	// scratch is the idle round scratch. A round checks it out under mu
+	// and returns it when done, so concurrent rounds on one session
+	// never share buffers (the loser of a race allocates its own).
+	//peerlint:guardedby mu
+	scratch *roundScratch
 	//peerlint:guardedby mu
 	rounds int
 	//peerlint:guardedby mu
@@ -150,8 +173,28 @@ func NewSession(groupSize int, mode core.Mode, gain core.Gain, policy core.Group
 		mode:      mode,
 		gain:      gain,
 		policy:    policy,
-		members:   make(map[ParticipantID]*Participant),
+		members:   make(map[ParticipantID]*member),
 	}, nil
+}
+
+// member is a participant plus the session's bookkeeping for it.
+type member struct {
+	Participant
+	// seatedRound is the number of the last round the member was
+	// seated in (0 before the first). The apply step uses it to tell
+	// this round's seated run from the rest of the roster: a join that
+	// lands while the round computes can sit inside the old seated
+	// prefix, so position alone cannot.
+	seatedRound int
+}
+
+// seatCmp orders members by seat priority: fewest rounds played, then
+// lowest id (equivalently earliest joiner; see Session.order).
+func seatCmp(a, b *member) int {
+	if c := cmp.Compare(a.RoundsPlayed, b.RoundsPlayed); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // RestoreState is the durable portion of a Session, as recovered from a
@@ -166,9 +209,11 @@ type RestoreState struct {
 
 // Restore rebuilds a Session from recovered state, validating it the
 // same way a live session would have built it: ids must be unique and
-// within the allocator range, skills must be valid. The restored
-// session continues exactly where the recovered one stopped — the next
-// join gets NextID+1, the next round is Rounds+1.
+// within the allocator range, skills must be valid, and join rounds
+// must lie in [0, Rounds] and never decrease as the id grows (ids are
+// allocated in join order). The restored session continues exactly
+// where the recovered one stopped — the next join gets NextID+1, the
+// next round is Rounds+1.
 func Restore(groupSize int, mode core.Mode, gain core.Gain, policy core.Grouper, st RestoreState) (*Session, error) {
 	s, err := NewSession(groupSize, mode, gain, policy)
 	if err != nil {
@@ -178,12 +223,28 @@ func Restore(groupSize int, mode core.Mode, gain core.Gain, policy core.Grouper,
 		return nil, fmt.Errorf("matchmaker: restore: negative counters (next id %d, rounds %d)", st.NextID, st.Rounds)
 	}
 	// Validate outside the lock; nothing here touches session state.
-	for _, p := range st.Members {
+	roster := make([]*member, len(st.Members))
+	for i, p := range st.Members {
 		if p.ID < 1 || int64(p.ID) > st.NextID {
 			return nil, fmt.Errorf("matchmaker: restore: participant id %d outside allocator range [1,%d]", p.ID, st.NextID)
 		}
 		if err := core.ValidateSkills(core.Skills{p.Skill}); err != nil {
 			return nil, fmt.Errorf("matchmaker: restore: participant %d: %w", p.ID, err)
+		}
+		if p.JoinedRound < 0 || p.JoinedRound > st.Rounds {
+			return nil, fmt.Errorf("matchmaker: restore: participant %d joined round %d outside [0,%d]", p.ID, p.JoinedRound, st.Rounds)
+		}
+		roster[i] = &member{Participant: p}
+	}
+	slices.SortFunc(roster, func(a, b *member) int { return cmp.Compare(a.ID, b.ID) })
+	for i := 1; i < len(roster); i++ {
+		prev, cur := roster[i-1], roster[i]
+		if prev.ID == cur.ID {
+			return nil, fmt.Errorf("matchmaker: restore: duplicate participant id %d", cur.ID)
+		}
+		if cur.JoinedRound < prev.JoinedRound {
+			return nil, fmt.Errorf("matchmaker: restore: participant %d joined round %d after participant %d joined round %d",
+				prev.ID, prev.JoinedRound, cur.ID, cur.JoinedRound)
 		}
 	}
 	// The session has not escaped yet, but the roster fields are under
@@ -192,13 +253,11 @@ func Restore(groupSize int, mode core.Mode, gain core.Gain, policy core.Grouper,
 	// escape here.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range st.Members {
-		if _, dup := s.members[p.ID]; dup {
-			return nil, fmt.Errorf("matchmaker: restore: duplicate participant id %d", p.ID)
-		}
-		cp := p
-		s.members[p.ID] = &cp
+	for _, p := range roster {
+		s.members[p.ID] = p
 	}
+	slices.SortFunc(roster, seatCmp)
+	s.order = roster
 	s.nextID = ParticipantID(st.NextID)
 	s.rounds = st.Rounds
 	s.total = st.TotalGain
@@ -221,7 +280,18 @@ func (s *Session) Join(skill float64) (ParticipantID, error) {
 		}
 	}
 	s.nextID = id
-	s.members[id] = &Participant{ID: id, Skill: skill, JoinedRound: s.rounds}
+	p := &member{Participant: Participant{ID: id, Skill: skill, JoinedRound: s.rounds}}
+	s.members[id] = p
+	// The joiner has the largest id and the fewest possible rounds, so
+	// its seat is the end of the RoundsPlayed=0 run. That is the end of
+	// the roster until the first round, checked first because a binary
+	// search there costs a pointer chase per step.
+	if n := len(s.order); n == 0 || s.order[n-1].RoundsPlayed == 0 {
+		s.order = append(s.order, p)
+	} else {
+		i, _ := slices.BinarySearchFunc(s.order, 1, func(q *member, rounds int) int { return cmp.Compare(q.RoundsPlayed, rounds) })
+		s.order = slices.Insert(s.order, i, p)
+	}
 	return id, nil
 }
 
@@ -229,8 +299,13 @@ func (s *Session) Join(skill float64) (ParticipantID, error) {
 func (s *Session) Leave(id ParticipantID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.members[id]; !ok {
+	p, ok := s.members[id]
+	if !ok {
 		return fmt.Errorf("matchmaker: unknown participant %d", id)
+	}
+	i, found := slices.BinarySearchFunc(s.order, p, seatCmp)
+	if !found {
+		return fmt.Errorf("matchmaker: participant %d missing from the seat order", id)
 	}
 	if s.sink != nil {
 		//peerlint:allow lockheld — sink appends must happen under mu so WAL order equals apply order; see EventSink contract
@@ -239,6 +314,8 @@ func (s *Session) Leave(id ParticipantID) error {
 		}
 	}
 	delete(s.members, id)
+	s.order = slices.Delete(s.order, i, i+1)
+	s.epoch++
 	return nil
 }
 
@@ -291,7 +368,7 @@ func (s *Session) Get(id ParticipantID) (Participant, bool) {
 	if !ok {
 		return Participant{}, false
 	}
-	return *p, true
+	return p.Participant, true
 }
 
 // RoundReport summarizes one RunRound call.
@@ -367,20 +444,23 @@ func (s *Session) SetRoundHook(h RoundHook) {
 func (s *Session) Snapshot() []Participant {
 	s.mu.Lock()
 	out := make([]Participant, 0, len(s.members))
-	for _, p := range s.members {
-		out = append(out, *p)
+	for _, p := range s.order {
+		out = append(out, p.Participant)
 	}
 	s.mu.Unlock()
 	slices.SortFunc(out, func(a, b Participant) int { return int(a.ID - b.ID) })
 	return out
 }
 
-// seat is one seated participant with the roster state the seating
-// decision was based on, so an optimistic round can detect that a
-// competing round touched the participant in the meantime.
-type seat struct {
-	p            *Participant
-	roundsPlayed int
+// roundScratch holds one round's buffers: the seated members, their
+// skills (updated in place by the workspace), the seat ids handed to
+// the event sink, and the core workspace that applies the round. It is
+// owned by one RunRound call at a time (see Session.scratch).
+type roundScratch struct {
+	seats  []*member
+	skills core.Skills
+	ids    []int64
+	ws     *core.Workspace
 }
 
 // maxOptimistic bounds the optimistic grouping attempts before a round
@@ -397,21 +477,44 @@ const maxOptimistic = 4
 // The grouping computation — the expensive part for large rosters —
 // runs outside the session lock on a snapshot of the seated roster, so
 // concurrent Join/Leave/status calls are not stalled for its duration.
-// The result is applied only after re-validating under the lock that
-// every seated participant is unchanged; a lost race retries, and
-// after maxOptimistic retries the round completes under the lock.
+// The result is applied only if no leave and no other round has landed
+// since the snapshot (a join cannot invalidate it: the joiner just sits
+// this round out); a lost race retries, and after maxOptimistic retries
+// the round completes under the lock.
 func (s *Session) RunRound() (*RoundReport, error) {
+	s.mu.Lock()
+	sc := s.scratch
+	s.scratch = nil
+	s.mu.Unlock()
+	if sc == nil {
+		sc = &roundScratch{ws: core.NewWorkspace()}
+	}
 	for attempt := 0; ; attempt++ {
-		report, retry, err := s.runRoundOnce(attempt >= maxOptimistic)
+		report, retry, err := s.runRoundOnce(sc, attempt >= maxOptimistic)
 		if retry {
 			continue
 		}
+		m := s.checkin(sc)
 		if err == nil {
 			report.Attempts = attempt + 1
-			s.recordRound(report)
+			recordRound(m, report)
 		}
 		return report, err
 	}
+}
+
+// checkin returns a round's scratch to the session, unless a
+// concurrent round got there first, and reads the telemetry sink for
+// the round. A round that panics in the policy never checks its
+// scratch in; the next round allocates a fresh one.
+func (s *Session) checkin(sc *roundScratch) *Metrics {
+	clear(sc.seats) // do not keep departed members reachable
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.scratch == nil {
+		s.scratch = sc
+	}
+	return s.metrics
 }
 
 // runRoundOnce makes one attempt at a round. With pessimistic set the
@@ -420,17 +523,18 @@ func (s *Session) RunRound() (*RoundReport, error) {
 // critical section, the price of guaranteed progress. Otherwise the
 // lock is released around that computation and retry=true means the
 // snapshot went stale and the caller should try again.
-func (s *Session) runRoundOnce(pessimistic bool) (report *RoundReport, retry bool, err error) {
+func (s *Session) runRoundOnce(sc *roundScratch, pessimistic bool) (report *RoundReport, retry bool, err error) {
 	if pessimistic {
-		return s.runRoundPessimistic()
+		return s.runRoundPessimistic(sc)
 	}
-	return s.runRoundOptimistic()
+	return s.runRoundOptimistic(sc)
 }
 
-func (s *Session) runRoundOptimistic() (report *RoundReport, retry bool, err error) {
+func (s *Session) runRoundOptimistic(sc *roundScratch) (report *RoundReport, retry bool, err error) {
 	s.mu.Lock()
 	hook := s.roundHook
-	seated, skills, k, satOut, err := s.seatLocked()
+	epoch := s.epoch
+	k, satOut, err := s.seatLocked(sc)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, false, err
@@ -441,7 +545,7 @@ func (s *Session) runRoundOptimistic() (report *RoundReport, retry bool, err err
 
 	// The expensive part runs on the snapshot with the session open for
 	// Join/Leave.
-	next, grouping, gain, err := s.computeRound(skills, len(seated), k)
+	grouping, gain, err := s.computeRound(sc, k)
 	if err != nil {
 		return nil, false, err
 	}
@@ -451,84 +555,109 @@ func (s *Session) runRoundOptimistic() (report *RoundReport, retry bool, err err
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.seatsUnchangedLocked(seated) {
+	if s.epoch != epoch {
 		return nil, true, nil
 	}
-	report, err = s.applyLocked(seated, next, grouping, gain, k, satOut)
+	report, err = s.applyLocked(sc, grouping, gain, k, satOut)
 	return report, false, err
 }
 
-func (s *Session) runRoundPessimistic() (report *RoundReport, retry bool, err error) {
+func (s *Session) runRoundPessimistic(sc *roundScratch) (report *RoundReport, retry bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seated, skills, k, satOut, err := s.seatLocked()
+	k, satOut, err := s.seatLocked(sc)
 	if err != nil {
 		return nil, false, err
 	}
-	next, grouping, gain, err := s.computeRound(skills, len(seated), k)
+	grouping, gain, err := s.computeRound(sc, k)
 	if err != nil {
 		return nil, false, err
 	}
-	report, err = s.applyLocked(seated, next, grouping, gain, k, satOut)
+	report, err = s.applyLocked(sc, grouping, gain, k, satOut)
 	return report, false, err
 }
 
 // computeRound runs the per-round computation on a snapshot: grouping,
-// validation, and the gain update. Policy, mode, and rate are immutable
-// after NewSession and the snapshot slices are owned by the caller, so
-// this reads no session state that needs mu — the optimistic path calls
-// it with the lock released.
-func (s *Session) computeRound(skills core.Skills, m, k int) (core.Skills, core.Grouping, float64, error) {
-	grouping := s.group(skills, k)
-	if err := grouping.ValidateEqui(m, k); err != nil {
-		return nil, nil, 0, fmt.Errorf("matchmaker: policy %s produced an invalid grouping: %w", s.policyName(), err)
+// validation, and the gain update, which overwrites sc.skills with the
+// post-round skills. Policy, mode, and rate are immutable after
+// NewSession and the scratch is owned by the caller, so this reads no
+// session state that needs mu — the optimistic path calls it with the
+// lock released.
+func (s *Session) computeRound(sc *roundScratch, k int) (core.Grouping, float64, error) {
+	grouping := s.group(sc.skills, k)
+	if err := sc.ws.ValidateEqui(grouping, len(sc.skills), k); err != nil {
+		return nil, 0, fmt.Errorf("matchmaker: policy %s produced an invalid grouping: %w", s.policyName(), err)
 	}
-	next, gain, err := core.ApplyRound(skills, grouping, s.mode, s.gain)
+	gain, err := sc.ws.ApplyRoundInPlace(sc.skills, grouping, s.mode, s.gain)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return next, grouping, gain, nil
+	return grouping, gain, nil
 }
 
-// applyLocked installs the computed skills into the roster and builds
-// the report (callers hold mu). With an event sink attached the round
-// is logged first; a sink failure aborts the apply with the roster
-// untouched, so durable state never lags live state.
-func (s *Session) applyLocked(seated []seat, next core.Skills, grouping core.Grouping, gain float64, k, satOut int) (*RoundReport, error) {
+// applyLocked installs the computed skills into the roster, rebuilds
+// the seat order, and builds the report (callers hold mu). With an
+// event sink attached the round is logged first; a sink failure aborts
+// the apply with the roster untouched, so durable state never lags
+// live state.
+func (s *Session) applyLocked(sc *roundScratch, grouping core.Grouping, gain float64, k, satOut int) (*RoundReport, error) {
+	round := s.rounds + 1
 	if s.sink != nil {
-		ids := make([]int64, len(seated))
-		for i, st := range seated {
-			ids[i] = int64(st.p.ID)
+		sc.ids = sc.ids[:0]
+		for _, p := range sc.seats {
+			sc.ids = append(sc.ids, int64(p.ID))
 		}
 		//peerlint:allow lockheld — sink appends must happen under mu so WAL order equals apply order; see EventSink contract
-		if err := s.sink.RoundApplied(RoundRecord{Round: s.rounds + 1, Seated: ids, Grouping: grouping, Gain: gain}); err != nil {
+		if err := s.sink.RoundApplied(RoundRecord{Round: round, Seated: sc.ids, Grouping: grouping, Gain: gain}); err != nil {
 			return nil, fmt.Errorf("matchmaker: round not durable: %w", err)
 		}
 	}
-	for i, st := range seated {
-		p := st.p
-		p.TotalGain += next[i] - p.Skill
-		p.Skill = next[i]
+	for i, p := range sc.seats {
+		p.TotalGain += sc.skills[i] - p.Skill
+		p.Skill = sc.skills[i]
 		p.RoundsPlayed++
+		p.seatedRound = round
 	}
-	s.rounds++
+	s.reorderLocked(sc.seats, round)
+	s.rounds = round
 	s.total += gain
+	s.epoch++
 	return &RoundReport{
-		Round:        s.rounds,
-		Participated: len(seated),
+		Round:        round,
+		Participated: len(sc.seats),
 		SatOut:       satOut,
 		Groups:       k,
 		Gain:         gain,
 	}, nil
 }
 
+// reorderLocked restores the seat order after a round (callers hold
+// mu). The seated members all moved up one round but kept their
+// relative order, and the unseated ones did not move, so the new order
+// is one linear merge of two sorted runs.
+func (s *Session) reorderLocked(seated []*member, round int) {
+	next := s.spare[:0]
+	i := 0
+	for _, p := range s.order {
+		if p.seatedRound == round {
+			continue
+		}
+		for i < len(seated) && seatCmp(seated[i], p) < 0 {
+			next = append(next, seated[i])
+			i++
+		}
+		next = append(next, p)
+	}
+	next = append(next, seated[i:]...)
+	clear(s.order) // do not keep departed members reachable
+	s.spare = s.order[:0]
+	s.order = next
+}
+
 // recordRound emits round telemetry after the session lock is released:
 // the counters are monotonic and scraped asynchronously, so they need
 // not be atomic with the apply.
-func (s *Session) recordRound(r *RoundReport) {
-	s.mu.Lock()
-	m := s.metrics
-	s.mu.Unlock()
+func recordRound(m *Metrics, r *RoundReport) {
 	if m == nil {
 		return
 	}
@@ -538,36 +667,21 @@ func (s *Session) recordRound(r *RoundReport) {
 	m.RoundGain.Observe(r.Gain)
 }
 
-// seatLocked snapshots the seated roster (callers hold mu): who plays
-// this round, their skills in seat order, the group count, and how
-// many sit out.
-func (s *Session) seatLocked() (seated []seat, skills core.Skills, k, satOut int, err error) {
-	roster := make([]*Participant, 0, len(s.members))
-	for _, p := range s.members {
-		roster = append(roster, p)
+// seatLocked snapshots the seated roster into sc (callers hold mu):
+// the first whole number of groups in seat order and their skills. It
+// returns the group count and how many sit out.
+func (s *Session) seatLocked(sc *roundScratch) (k, satOut int, err error) {
+	n := len(s.order)
+	if n < s.groupSize {
+		return 0, 0, fmt.Errorf("matchmaker: %d present, need at least %d for one group", n, s.groupSize)
 	}
-	if len(roster) < s.groupSize {
-		return nil, nil, 0, 0, fmt.Errorf("matchmaker: %d present, need at least %d for one group", len(roster), s.groupSize)
+	m := (n / s.groupSize) * s.groupSize
+	sc.seats = append(sc.seats[:0], s.order[:m]...)
+	sc.skills = sc.skills[:0]
+	for _, p := range sc.seats {
+		sc.skills = append(sc.skills, p.Skill)
 	}
-	// Seat priority: fewest rounds played, then earliest joiner, then id
-	// — deterministic and starvation-free.
-	slices.SortFunc(roster, func(pa, pb *Participant) int {
-		if pa.RoundsPlayed != pb.RoundsPlayed {
-			return pa.RoundsPlayed - pb.RoundsPlayed
-		}
-		if pa.JoinedRound != pb.JoinedRound {
-			return pa.JoinedRound - pb.JoinedRound
-		}
-		return int(pa.ID - pb.ID)
-	})
-	m := (len(roster) / s.groupSize) * s.groupSize
-	seated = make([]seat, m)
-	skills = make(core.Skills, m)
-	for i, p := range roster[:m] {
-		seated[i] = seat{p: p, roundsPlayed: p.RoundsPlayed}
-		skills[i] = p.Skill
-	}
-	return seated, skills, m / s.groupSize, len(roster) - m, nil
+	return m / s.groupSize, n - m, nil
 }
 
 // group serializes access to the policy, which may own mutable state.
@@ -586,19 +700,4 @@ func (s *Session) policyName() string {
 	defer s.policyMu.Unlock()
 	//peerlint:allow lockheld — policyMu serializes every dispatch into the policy; Name does no blocking work
 	return s.policy.Name()
-}
-
-// seatsUnchangedLocked reports whether every seated participant is
-// still present and untouched since the snapshot (callers hold mu). A
-// skill can only change together with RoundsPlayed — both happen only
-// in the apply step — and ids are never reused, so identity plus the
-// round count is a sound staleness check without comparing floats.
-func (s *Session) seatsUnchangedLocked(seated []seat) bool {
-	for _, st := range seated {
-		cur, ok := s.members[st.p.ID]
-		if !ok || cur != st.p || cur.RoundsPlayed != st.roundsPlayed {
-			return false
-		}
-	}
-	return true
 }

@@ -193,3 +193,23 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsJoinOrderViolations covers the seat-key
+// precondition: ids are allocated in join order, so a roster whose join
+// round decreases as the id grows, or lies beyond the round count, was
+// never produced by a live session.
+func TestRestoreRejectsJoinOrderViolations(t *testing.T) {
+	cases := map[string]RestoreState{
+		"join round decreases with id": {NextID: 2, Rounds: 3,
+			Members: []Participant{{ID: 2, Skill: 0.5, JoinedRound: 1}, {ID: 1, Skill: 0.6, JoinedRound: 2}}},
+		"join round beyond rounds": {NextID: 1, Rounds: 2,
+			Members: []Participant{{ID: 1, Skill: 0.5, JoinedRound: 3}}},
+	}
+	for name, st := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Restore(2, core.Star, core.MustLinear(0.5), dygroups.NewStar(), st); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}

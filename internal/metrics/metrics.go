@@ -276,11 +276,13 @@ func mergeLabels(a, b string) string {
 	return strings.Join(pairs, ",")
 }
 
+// labelEscaper escapes a label value per the exposition format. A
+// Replacer is safe for concurrent use and costly to build, so there is
+// one per process.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // formatFloat renders a sample value; infinities use the exposition
 // spelling.
@@ -477,11 +479,11 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// helpEscaper escapes a help string per the exposition format.
+var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+
 // escapeHelp escapes a help string per the exposition format.
-func escapeHelp(h string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(h)
-}
+func escapeHelp(h string) string { return helpEscaper.Replace(h) }
 
 // Handler returns an http.Handler serving the exposition text — mount
 // it at /metrics.

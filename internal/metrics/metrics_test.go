@@ -229,3 +229,18 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Errorf("Quantile(1) with +Inf mass = %g, want capped at 8", got)
 	}
 }
+
+// TestCounterVecWithAllocs bounds the cost of resolving an existing
+// child, which the HTTP middleware does on every request: building the
+// label key, and nothing per call for the escaper.
+func TestCounterVecWithAllocs(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("test_requests_total", "labeled", "route", "method", "status")
+	v.With("/v1/sessions/{id}/round", "POST", "200").Inc()
+	allocs := testing.AllocsPerRun(100, func() {
+		v.With("/v1/sessions/{id}/round", "POST", "200").Inc()
+	})
+	if allocs > 5 {
+		t.Fatalf("With on an existing child allocates %.1f times, want ≤ 5", allocs)
+	}
+}

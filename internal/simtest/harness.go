@@ -581,6 +581,7 @@ func (w *world) round(i int, op Op) {
 func (w *world) fullCheck(at int) {
 	snap := w.session.Snapshot()
 	w.checker.CheckAgreement(at, snap, w.model)
+	w.checker.CheckJoinOrder(at, snap)
 	w.checker.CheckMonotone(at, snap)
 	w.checker.CheckStarvation(at, snap)
 }

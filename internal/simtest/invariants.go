@@ -109,6 +109,19 @@ func (c *Checker) CheckAgreement(at int, session []matchmaker.Participant, model
 	}
 }
 
+// CheckJoinOrder verifies the seat-key precondition the session's
+// incremental seat order relies on: ids are allocated in join order, so
+// over a snapshot sorted by id the join round never decreases.
+func (c *Checker) CheckJoinOrder(at int, session []matchmaker.Participant) {
+	for i := 1; i < len(session); i++ {
+		prev, cur := session[i-1], session[i]
+		if cur.JoinedRound < prev.JoinedRound {
+			c.failf("op %d: participant %d joined round %d, after participant %d joined round %d",
+				at, cur.ID, cur.JoinedRound, prev.ID, prev.JoinedRound)
+		}
+	}
+}
+
 // CheckMonotone verifies no live participant's skill ever decreased: a
 // nonnegative-rate linear gain can only raise a learner toward its
 // teacher. It also folds newly seen participants into the history.

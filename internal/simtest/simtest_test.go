@@ -253,6 +253,18 @@ func TestCheckerDetectsStarvationAndRegression(t *testing.T) {
 	}
 }
 
+func TestCheckerDetectsJoinOrderViolation(t *testing.T) {
+	c := NewChecker(3)
+	c.CheckJoinOrder(0, []matchmaker.Participant{{ID: 1, JoinedRound: 0}, {ID: 2, JoinedRound: 2}, {ID: 3, JoinedRound: 2}})
+	if len(c.Violations()) != 0 {
+		t.Fatalf("valid join order flagged: %v", c.Violations())
+	}
+	c.CheckJoinOrder(1, []matchmaker.Participant{{ID: 1, JoinedRound: 2}, {ID: 2, JoinedRound: 1}})
+	if len(c.Violations()) == 0 {
+		t.Fatal("join round decreasing with id not flagged")
+	}
+}
+
 func TestShrinkMinimizes(t *testing.T) {
 	// Synthetic failure: a schedule fails iff it contains at least two
 	// joins and one round, anywhere.
